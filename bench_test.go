@@ -218,7 +218,10 @@ func BenchmarkFig7a_SparseLadder(b *testing.B) {
 		b.Fatal(err)
 	}
 	ls := sparse.NewLevelSchedule(f.M)
-	ps := sparse.NewP2PSchedule(f.M, pool.Size())
+	ps, err := sparse.NewP2PSchedule(f.M, pool.Size())
+	if err != nil {
+		b.Fatal(err)
+	}
 	n := a.N * sparse.B
 	rhs := make([]float64, n)
 	x := make([]float64, n)

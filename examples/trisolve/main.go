@@ -73,7 +73,10 @@ func main() {
 		tSeq := timeIt(func() { must(f.FactorizeILU(a)) })
 		ls := sparse.NewLevelSchedule(f.M)
 		tLvl := timeIt(func() { must(f.FactorizeILULevel(pool, ls, a)) })
-		ps := sparse.NewP2PSchedule(f.M, nThreads)
+		ps, err := sparse.NewP2PSchedule(f.M, nThreads)
+		if err != nil {
+			log.Fatal(err)
+		}
 		tP2P := timeIt(func() { must(f.FactorizeILUP2P(pool, ps, a)) })
 		fmt.Printf("  factor: seq %v | level %v (%.2fX) | p2p %v (%.2fX)\n",
 			tSeq.Round(time.Microsecond),

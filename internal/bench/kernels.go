@@ -343,7 +343,10 @@ func fig7a(o *Options) error {
 	iluLvl := minTime(reps, func() { must(f.FactorizeILULevel(pool, ls, a)) })
 	trsvLvl := minTime(reps, func() { f.SolveLevel(pool, ls, b, x) })
 
-	ps := sparse.NewP2PSchedule(f.M, pool.Size())
+	ps, err := sparse.NewP2PSchedule(f.M, pool.Size())
+	if err != nil {
+		return err
+	}
 	iluP2P := minTime(reps, func() { must(f.FactorizeILUP2P(pool, ps, a)) })
 	trsvP2P := minTime(reps, func() { f.SolveP2P(pool, ps, b, x) })
 
@@ -364,7 +367,10 @@ func fig7a(o *Options) error {
 	iluBytes := 2 * trsvBytes // factor reads and writes the blocks
 	nLevels := ls.NumLevels()
 	t := tm.Cores
-	psProj := sparse.NewP2PSchedule(f.M, t) // wait counts at the projected width
+	psProj, err := sparse.NewP2PSchedule(f.M, t) // wait counts at the projected width
+	if err != nil {
+		return err
+	}
 	projILULvl := tm.Recurrence(iluSeq, iluBytes, stream1, t, parl, nLevels)
 	projILUP2P := tm.Recurrence(iluSeq, iluBytes, stream1, t, parl, psProj.NumWaits()/64)
 	projTRSVLvl := tm.Recurrence(trsvSeq, trsvBytes, stream1, t, parl, 2*nLevels)
@@ -434,7 +440,11 @@ func fig7b(o *Options) error {
 			pool := par.NewPool(nw)
 			stream := perfmodel.StreamTriad(pool, 1<<22)
 			ls := sparse.NewLevelSchedule(f.M)
-			ps := sparse.NewP2PSchedule(f.M, nw)
+			ps, err := sparse.NewP2PSchedule(f.M, nw)
+			if err != nil {
+				pool.Close()
+				return err
+			}
 			tLvl := minTime(reps, func() { f.SolveLevel(pool, ls, b, x) })
 			tP2P := minTime(reps, func() { f.SolveP2P(pool, ps, b, x) })
 			fmt.Fprintf(w, "%d\t%.2f GB/s\t%.2f GB/s\t%.0f%%\t%.2f GB/s\n",
@@ -453,7 +463,10 @@ func fig7b(o *Options) error {
 	stream1 := perfmodel.StreamTriad(nil, 1<<22)
 	tm := perfmodel.PaperNode()
 	ls := sparse.NewLevelSchedule(f.M)
-	ps := sparse.NewP2PSchedule(f.M, tm.Cores)
+	ps, err := sparse.NewP2PSchedule(f.M, tm.Cores)
+	if err != nil {
+		return err
+	}
 	parl := sparse.DAGParallelism(f.M)
 	fmt.Fprintf(w, "projected on a %d-core node (1-core STREAM %.2f GB/s):\n", tm.Cores, stream1/1e9)
 	fmt.Fprintln(w, "threads\tTRSV(level)\tTRSV(p2p)\tTRSV p2p %STREAM(t)")

@@ -563,8 +563,10 @@ func (w *worker) setupKernels() error {
 				return err
 			}
 		}
+		if w.p2p, err = sparse.NewP2PSchedule(w.factor.M, nthreads); err != nil {
+			return fmt.Errorf("mpisim: rank %d: %w", w.rank.id, err)
+		}
 		w.pool = par.NewPool(nthreads)
-		w.p2p = sparse.NewP2PSchedule(w.factor.M, nthreads)
 	}
 	w.kern = flux.NewKernels(w.lm, w.cfg.Beta, w.qInf, w.pool, part, flux.Config{Strategy: strat})
 	return nil

@@ -95,7 +95,10 @@ func Measure(m *mesh.Mesh, threads int, optimized bool) (Rates, error) {
 	nnz := f.M.NNZBlocks()
 	x := make([]float64, nv*4)
 	if pool != nil && optimized {
-		p2p := sparse.NewP2PSchedule(f.M, pool.Size())
+		p2p, err := sparse.NewP2PSchedule(f.M, pool.Size())
+		if err != nil {
+			return r, err
+		}
 		r.ILUPerBlock = perUnit(func() {
 			if err := f.FactorizeILUP2P(pool, p2p, a); err != nil {
 				panic(err)

@@ -115,7 +115,9 @@ func New(a *sparse.BSR, pool *par.Pool, opt Options) (*ASM, error) {
 		case SchedLevel:
 			asm.levels = sparse.NewLevelSchedule(asm.global.M)
 		case SchedP2P:
-			asm.p2p = sparse.NewP2PSchedule(asm.global.M, pool.Size())
+			if asm.p2p, err = sparse.NewP2PSchedule(asm.global.M, pool.Size()); err != nil {
+				return nil, fmt.Errorf("precond: %w", err)
+			}
 		}
 		return asm, nil
 	}

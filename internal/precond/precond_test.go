@@ -186,6 +186,15 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(a, nil, Options{Subdomains: a.N + 1}); err == nil {
 		t.Fatal("too many subdomains accepted")
 	}
+	asym, err := sparse.NewBSRFromPattern([][]int32{{0}, {0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := par.NewPool(2)
+	defer pool.Close()
+	if _, err := New(asym, pool, Options{Sched: SchedP2P}); err == nil {
+		t.Fatal("p2p over a structurally asymmetric pattern accepted")
+	}
 	if SchedSequential.String() == "" || SchedLevel.String() == "" ||
 		SchedP2P.String() == "" || Scheduling(9).String() == "" {
 		t.Fatal("scheduling names")

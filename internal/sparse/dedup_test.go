@@ -220,7 +220,7 @@ func TestDedupFactorSolveConformance(t *testing.T) {
 
 				fP2P, _ := NewFactorPattern(pat)
 				fP2P.EnableDedup(true)
-				ps := NewP2PSchedule(fP2P.M, nw)
+				ps := mustP2P(t, fP2P.M, nw)
 				if err := fP2P.FactorizeILUP2P(p, ps, a); err != nil {
 					t.Fatal(err)
 				}

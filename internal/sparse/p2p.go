@@ -1,29 +1,41 @@
 package sparse
 
 import (
+	"fmt"
+
 	"fun3d/internal/par"
 )
 
 // P2PSchedule implements the sparsified point-to-point synchronization of
 // Park et al. (ISC'14), the paper's strategy (2) for the sparse
-// recurrences. Rows are divided into contiguous per-thread chunks
-// (nnz-balanced); each thread processes its rows in order and publishes a
-// progress counter. A row's cross-thread dependencies are *sparsified* by
-// approximate transitive reduction:
+// recurrences. Rows are owned by threads through level sets: every
+// forward wavefront of the dependency DAG is split across the threads into
+// contiguous, nnz-balanced pieces, and each thread's task list is its
+// pieces in level order. A thread runs its list front to back in the
+// forward sweep (and the factorization) and back to front in the backward
+// sweep, publishing a progress counter per sweep. A row's cross-thread
+// dependencies are *sparsified* by approximate transitive reduction:
 //
-//   - within one foreign thread, only the largest dependency row matters
-//     (that thread completes its rows in order), and
+//   - within one foreign thread, only the dependency latest in that
+//     thread's task list matters (the thread completes its list in order),
+//     and
 //   - a wait already implied by an earlier wait of the same thread (its
 //     running high-water mark per foreign thread) is dropped.
 //
-// What remains is typically a handful of point-to-point waits per row
+// What remains is typically a handful of point-to-point waits per level
 // instead of a global barrier per wavefront.
 type P2PSchedule struct {
-	nw    int
-	start []int32 // per-thread chunk start rows, len nw+1
+	nw int
 
-	// Per-row wait lists, flattened. A wait (t, c) means: spin until
-	// thread t's progress counter reaches c.
+	// Thread t's task list is order[start[t]:start[t+1]]; len(start) = nw+1.
+	order []int32
+	start []int32
+
+	// Per-step wait lists, flattened. A wait (t, c) means: spin until
+	// thread t's progress counter reaches c. Forward step q runs row
+	// order[q]; backward step q of thread t runs row
+	// order[start[t]+start[t+1]-1-q]. Both sweeps index their waits by
+	// step, so each thread reads them front to back.
 	fwdPtr, bwdPtr     []int32
 	fwdWaits, bwdWaits []waitReq
 
@@ -36,115 +48,137 @@ type waitReq struct {
 }
 
 // NewP2PSchedule builds the schedule for factor pattern m and nw threads.
-func NewP2PSchedule(m *BSR, nw int) *P2PSchedule {
-	s := &P2PSchedule{nw: nw}
-	s.start = nnzBalancedChunks(m, nw)
+// The pattern must be structurally symmetric: the backward sweep starts
+// without a barrier, and only the symmetric pattern guarantees that a
+// backward update of x_i (which waits on every U(i,k) row) never races a
+// foreign forward read of x_i (through L(k,i)). Symmetry also makes the
+// reversed forward order a valid backward order: U(i,j) != 0 implies
+// L(j,i) != 0, so row j sits in a later forward level than row i. With one
+// thread the schedule is the identity row order with no waits.
+func NewP2PSchedule(m *BSR, nw int) (*P2PSchedule, error) {
+	if nw < 1 {
+		return nil, fmt.Errorf("sparse: P2P schedule needs at least one thread, got %d", nw)
+	}
+	if err := checkStructurallySymmetric(m); err != nil {
+		return nil, fmt.Errorf("sparse: P2P schedule: %w", err)
+	}
+	s := &P2PSchedule{nw: nw, start: make([]int32, nw+1)}
 	s.fwdFlags = make([]par.Flag, nw)
 	s.bwdFlags = make([]par.Flag, nw)
+	if nw == 1 {
+		s.order = make([]int32, m.N)
+		for i := range s.order {
+			s.order[i] = int32(i)
+		}
+		s.start[1] = int32(m.N)
+		s.fwdPtr = make([]int32, m.N+1)
+		s.bwdPtr = make([]int32, m.N+1)
+		return s, nil
+	}
 
+	// Split every forward level into nw contiguous pieces of roughly equal
+	// block-nnz (the recurrences' work metric); piece t joins thread t's
+	// list.
+	levOrder, levOff := buildLevels(m, true)
 	owner := make([]int32, m.N)
-	for t := 0; t < nw; t++ {
-		for i := s.start[t]; i < s.start[t+1]; i++ {
-			owner[i] = int32(t)
+	counts := make([]int32, nw+1)
+	for l := 0; l+1 < len(levOff); l++ {
+		rows := levOrder[levOff[l]:levOff[l+1]]
+		total := int64(0)
+		for _, i := range rows {
+			total += int64(m.Ptr[i+1] - m.Ptr[i])
 		}
+		acc := int64(0)
+		for _, i := range rows {
+			t := int32(acc * int64(nw) / total)
+			acc += int64(m.Ptr[i+1] - m.Ptr[i])
+			owner[i] = t
+			counts[t+1]++
+		}
+	}
+	for t := 0; t < nw; t++ {
+		s.start[t+1] = s.start[t] + counts[t+1]
+	}
+	s.order = make([]int32, m.N)
+	pos := make([]int32, m.N) // row -> index into order
+	fill := append([]int32(nil), s.start[:nw]...)
+	for _, i := range levOrder {
+		t := owner[i]
+		pos[i] = fill[t]
+		s.order[fill[t]] = i
+		fill[t]++
 	}
 
-	// Forward: thread t processes rows start[t]..start[t+1] ascending;
-	// progress counter = number of completed rows. Dependency on row j
-	// owned by t' != t requires progress[t'] >= j - start[t'] + 1.
-	s.fwdPtr = make([]int32, m.N+1)
-	highWater := make([]int64, nw)
-	reqs := make([]int64, nw) // per-row scratch, indexed by thread
-	maxReq := func(i int32, forward bool) []waitReq {
-		me := owner[i]
-		for t := range reqs {
-			reqs[t] = 0
-		}
-		if forward {
-			for k := m.Ptr[i]; k < m.Diag[i]; k++ {
-				j := m.Col[k]
-				t := owner[j]
-				if t == me {
-					continue
-				}
-				need := int64(j - s.start[t] + 1)
-				if need > reqs[t] {
-					reqs[t] = need
-				}
-			}
-		} else {
-			for k := m.Diag[i] + 1; k < m.Ptr[i+1]; k++ {
-				j := m.Col[k]
-				t := owner[j]
-				if t == me {
-					continue
-				}
-				need := int64(s.start[t+1] - j) // rows done counting from the top
-				if need > reqs[t] {
-					reqs[t] = need
-				}
-			}
-		}
-		var out []waitReq
-		for t := 0; t < nw; t++ {
-			if reqs[t] > highWater[t] {
-				out = append(out, waitReq{int32(t), reqs[t]})
-				highWater[t] = reqs[t]
-			}
-		}
-		return out
-	}
-
-	for t := 0; t < nw; t++ {
-		for hw := range highWater {
-			highWater[hw] = 0
-		}
-		for i := s.start[t]; i < s.start[t+1]; i++ {
-			w := maxReq(i, true)
-			s.fwdWaits = append(s.fwdWaits, w...)
-			s.fwdPtr[i+1] = int32(len(s.fwdWaits))
-		}
-	}
-	// Backward: thread t processes its rows descending, so build the wait
-	// lists per thread in that order (for the high-water reduction) and
-	// flatten ascending afterwards.
-	bwdTmp := make([][]waitReq, m.N)
-	for t := 0; t < nw; t++ {
-		for hw := range highWater {
-			highWater[hw] = 0
-		}
-		for i := s.start[t+1] - 1; i >= s.start[t]; i-- {
-			bwdTmp[i] = maxReq(i, false)
-		}
-	}
-	s.bwdPtr = make([]int32, m.N+1)
-	for i := 0; i < m.N; i++ {
-		s.bwdWaits = append(s.bwdWaits, bwdTmp[i]...)
-		s.bwdPtr[i+1] = int32(len(s.bwdWaits))
-	}
-	return s
+	s.fwdPtr, s.fwdWaits = s.buildWaits(m, owner, pos, true)
+	s.bwdPtr, s.bwdWaits = s.buildWaits(m, owner, pos, false)
+	return s, nil
 }
 
-// nnzBalancedChunks splits rows into nw contiguous chunks with roughly
-// equal block-nnz (the recurrences' work metric).
-func nnzBalancedChunks(m *BSR, nw int) []int32 {
-	start := make([]int32, nw+1)
-	total := int64(m.NNZBlocks())
-	target := float64(total) / float64(nw)
-	acc := int64(0)
-	t := 1
-	for i := 0; i < m.N && t < nw; i++ {
-		acc += int64(m.Ptr[i+1] - m.Ptr[i])
-		if float64(acc) >= target*float64(t) {
-			start[t] = int32(i + 1)
-			t++
+// buildWaits computes one sweep's sparsified wait lists, visiting each
+// thread's steps in execution order so the high-water reduction sees them
+// as they will run. Forward, the dependencies of row i are its lower
+// columns and depending on task p of thread u needs u's counter at
+// p-start[u]+1; backward they are its upper columns and the counter must
+// reach start[u+1]-p.
+func (s *P2PSchedule) buildWaits(m *BSR, owner, pos []int32, forward bool) ([]int32, []waitReq) {
+	ptr := make([]int32, len(s.order)+1)
+	var waits []waitReq
+	highWater := make([]int64, s.nw)
+	reqs := make([]int64, s.nw) // per-row scratch, indexed by thread
+	for t := 0; t < s.nw; t++ {
+		clear(highWater)
+		lo, hi := s.start[t], s.start[t+1]
+		for q := lo; q < hi; q++ {
+			i := s.order[q]
+			deps := m.Col[m.Ptr[i]:m.Diag[i]]
+			if !forward {
+				i = s.order[lo+hi-1-q]
+				deps = m.Col[m.Diag[i]+1 : m.Ptr[i+1]]
+			}
+			clear(reqs)
+			for _, j := range deps {
+				u := owner[j]
+				if u == int32(t) {
+					continue
+				}
+				need := int64(pos[j] - s.start[u] + 1)
+				if !forward {
+					need = int64(s.start[u+1] - pos[j])
+				}
+				reqs[u] = max(reqs[u], need)
+			}
+			for u, r := range reqs {
+				if r > highWater[u] {
+					waits = append(waits, waitReq{int32(u), r})
+					highWater[u] = r
+				}
+			}
+			ptr[q+1] = int32(len(waits))
 		}
 	}
-	for ; t < nw; t++ {
-		start[t] = int32(m.N)
+	return ptr, waits
+}
+
+// checkStructurallySymmetric verifies in O(nnz) that (j,i) is in m's
+// pattern whenever (i,j) is. Rows are visited in ascending order, so the
+// transposes of the entries met so far must appear in every row j as an
+// ascending prefix of its (sorted) columns; next[j] tracks that prefix.
+func checkStructurallySymmetric(m *BSR) error {
+	next := append([]int32(nil), m.Ptr[:m.N]...)
+	for i := int32(0); i < int32(m.N); i++ {
+		for k := m.Ptr[i]; k < m.Ptr[i+1]; k++ {
+			j := m.Col[k]
+			c := next[j]
+			if c < m.Ptr[j+1] && m.Col[c] < i {
+				return fmt.Errorf("pattern is not structurally symmetric: (%d,%d) present, (%d,%d) absent", j, m.Col[c], m.Col[c], j)
+			}
+			if c == m.Ptr[j+1] || m.Col[c] != i {
+				return fmt.Errorf("pattern is not structurally symmetric: (%d,%d) present, (%d,%d) absent", i, j, j, i)
+			}
+			next[j]++
+		}
 	}
-	start[nw] = int32(m.N)
-	return start
+	return nil
 }
 
 // NumWaits returns the total forward+backward wait count — the schedule's
@@ -178,20 +212,20 @@ func (f *Factor) SolveP2P(p *par.Pool, s *P2PSchedule, b, x []float64) {
 	p.Run(func(tid int) {
 		lo, hi := s.start[tid], s.start[tid+1]
 		done := int64(0)
-		for i := lo; i < hi; i++ {
-			for _, w := range s.fwdWaits[s.fwdPtr[i]:s.fwdPtr[i+1]] {
+		for q := lo; q < hi; q++ {
+			for _, w := range s.fwdWaits[s.fwdPtr[q]:s.fwdPtr[q+1]] {
 				s.fwdFlags[w.thread].WaitAtLeast(w.count)
 			}
-			f.fwdRow(i, x)
+			f.fwdRow(s.order[q], x)
 			done++
 			s.fwdFlags[tid].Set(done)
 		}
 		done = 0
-		for i := hi - 1; i >= lo; i-- {
-			for _, w := range s.bwdWaits[s.bwdPtr[i]:s.bwdPtr[i+1]] {
+		for q := lo; q < hi; q++ {
+			for _, w := range s.bwdWaits[s.bwdPtr[q]:s.bwdPtr[q+1]] {
 				s.bwdFlags[w.thread].WaitAtLeast(w.count)
 			}
-			f.bwdRow(i, x)
+			f.bwdRow(s.order[lo+hi-1-q], x)
 			done++
 			s.bwdFlags[tid].Set(done)
 		}
@@ -210,11 +244,11 @@ func (f *Factor) FactorizeILUP2P(p *par.Pool, s *P2PSchedule, a *BSR) error {
 	p.Run(func(tid int) {
 		lo, hi := s.start[tid], s.start[tid+1]
 		done := int64(0)
-		for i := lo; i < hi; i++ {
-			for _, w := range s.fwdWaits[s.fwdPtr[i]:s.fwdPtr[i+1]] {
+		for q := lo; q < hi; q++ {
+			for _, w := range s.fwdWaits[s.fwdPtr[q]:s.fwdPtr[q+1]] {
 				s.fwdFlags[w.thread].WaitAtLeast(w.count)
 			}
-			if err := f.factorRow(i); err != nil && errs[tid] == nil {
+			if err := f.factorRow(s.order[q]); err != nil && errs[tid] == nil {
 				errs[tid] = err
 			}
 			done++

@@ -102,7 +102,7 @@ func TestP2PPropertyMatchesSerialBitForBit(t *testing.T) {
 				t.Fatal(err)
 			}
 			p2p := newFactor()
-			ps := NewP2PSchedule(p2p.M, nw)
+			ps := mustP2P(t, p2p.M, nw)
 			if err := p2p.FactorizeILUP2P(pool, ps, a); err != nil {
 				t.Fatal(err)
 			}
@@ -140,11 +140,13 @@ func TestP2PPropertyMatchesSerialBitForBit(t *testing.T) {
 }
 
 // TestP2PScheduleCoversAllDependencies is the missed-dependency regression
-// property: replaying each thread's row sequence, every cross-thread
+// property: replaying each thread's task list, every cross-thread
 // dependency of the factor pattern (lower part for the forward sweep,
 // upper part for the backward sweep) must be implied by the accumulated
-// sparsified waits at the time the row runs. This is exactly the invariant
-// the high-water transitive reduction must preserve.
+// sparsified waits at the time the row runs, and every same-thread
+// dependency must run earlier in that thread's sweep. This is exactly the
+// invariant the level-set ownership and the high-water transitive
+// reduction must preserve.
 func TestP2PScheduleCoversAllDependencies(t *testing.T) {
 	trials := 15
 	if testing.Short() {
@@ -169,76 +171,60 @@ func TestP2PScheduleCoversAllDependencies(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := f.M
-			s := NewP2PSchedule(m, nw)
+			s := mustP2P(t, m, nw)
+			owner, pos := taskOwners(t, s, m.N)
 
-			owner := make([]int32, m.N)
-			for th := 0; th < nw; th++ {
-				for i := s.start[th]; i < s.start[th+1]; i++ {
-					owner[i] = int32(th)
+			// replay walks thread th's steps of one sweep, checking the
+			// waits are sparsified (no self-waits, strictly rising per
+			// foreign thread) and cover every dependency of each row.
+			replay := func(th int, forward bool) {
+				lo, hi := s.start[th], s.start[th+1]
+				ptr, waits := s.fwdPtr, s.fwdWaits
+				if !forward {
+					ptr, waits = s.bwdPtr, s.bwdWaits
 				}
-			}
-
-			// Forward sweep replay.
-			for th := 0; th < nw; th++ {
 				high := make([]int64, nw)
-				for i := s.start[th]; i < s.start[th+1]; i++ {
-					for _, w := range s.fwdWaits[s.fwdPtr[i]:s.fwdPtr[i+1]] {
+				for q := lo; q < hi; q++ {
+					p := q
+					i := s.order[p]
+					deps := m.Col[m.Ptr[i]:m.Diag[i]]
+					if !forward {
+						p = lo + hi - 1 - q
+						i = s.order[p]
+						deps = m.Col[m.Diag[i]+1 : m.Ptr[i+1]]
+					}
+					for _, w := range waits[ptr[q]:ptr[q+1]] {
 						if w.thread == int32(th) {
-							t.Fatalf("row %d: self-wait on own thread %d", i, th)
+							t.Fatalf("fwd=%v row %d: self-wait on own thread %d", forward, i, th)
 						}
 						if w.count <= high[w.thread] {
-							t.Fatalf("row %d: non-monotone wait on thread %d (%d <= %d): not sparsified",
-								i, w.thread, w.count, high[w.thread])
+							t.Fatalf("fwd=%v row %d: non-monotone wait on thread %d (%d <= %d): not sparsified",
+								forward, i, w.thread, w.count, high[w.thread])
 						}
 						high[w.thread] = w.count
 					}
-					for k := m.Ptr[i]; k < m.Diag[i]; k++ {
-						j := m.Col[k]
+					for _, j := range deps {
 						tj := owner[j]
 						if tj == int32(th) {
-							if j >= i {
-								t.Fatalf("row %d: intra-thread forward dep %d not earlier", i, j)
+							if (forward && pos[j] >= p) || (!forward && pos[j] <= p) {
+								t.Fatalf("fwd=%v row %d: same-thread dep %d does not run first", forward, i, j)
 							}
 							continue
 						}
-						need := int64(j - s.start[tj] + 1)
+						need := int64(pos[j] - s.start[tj] + 1)
+						if !forward {
+							need = int64(s.start[tj+1] - pos[j])
+						}
 						if high[tj] < need {
-							t.Fatalf("row %d: forward dep on row %d (thread %d) uncovered: have %d need %d",
-								i, j, tj, high[tj], need)
+							t.Fatalf("fwd=%v row %d: dep on row %d (thread %d) uncovered: have %d need %d",
+								forward, i, j, tj, high[tj], need)
 						}
 					}
 				}
 			}
-
-			// Backward sweep replay (rows descending per thread).
 			for th := 0; th < nw; th++ {
-				high := make([]int64, nw)
-				for i := s.start[th+1] - 1; i >= s.start[th]; i-- {
-					for _, w := range s.bwdWaits[s.bwdPtr[i]:s.bwdPtr[i+1]] {
-						if w.thread == int32(th) {
-							t.Fatalf("row %d: backward self-wait on own thread %d", i, th)
-						}
-						if w.count <= high[w.thread] {
-							t.Fatalf("row %d: non-monotone backward wait on thread %d", i, w.thread)
-						}
-						high[w.thread] = w.count
-					}
-					for k := m.Diag[i] + 1; k < m.Ptr[i+1]; k++ {
-						j := m.Col[k]
-						tj := owner[j]
-						if tj == int32(th) {
-							if j <= i {
-								t.Fatalf("row %d: intra-thread backward dep %d not later", i, j)
-							}
-							continue
-						}
-						need := int64(s.start[tj+1] - j)
-						if high[tj] < need {
-							t.Fatalf("row %d: backward dep on row %d (thread %d) uncovered: have %d need %d",
-								i, j, tj, high[tj], need)
-						}
-					}
-				}
+				replay(th, true)
+				replay(th, false)
 			}
 		})
 	}

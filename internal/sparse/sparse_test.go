@@ -311,7 +311,7 @@ func TestParallelSolversMatchSequential(t *testing.T) {
 		want := make([]float64, n)
 		f.Solve(b, want)
 
-		for _, nw := range []int{1, 2, 4, 7} {
+		for _, nw := range []int{1, 2, 3, 4, 7} {
 			p := par.NewPool(nw)
 			ls := NewLevelSchedule(f.M)
 			got := make([]float64, n)
@@ -319,7 +319,7 @@ func TestParallelSolversMatchSequential(t *testing.T) {
 			if diff := maxAbsDiff(got, want); diff != 0 {
 				t.Fatalf("ILU(%d) nw=%d: level solve differs by %v", lev, nw, diff)
 			}
-			ps := NewP2PSchedule(f.M, nw)
+			ps := mustP2P(t, f.M, nw)
 			got2 := make([]float64, n)
 			f.SolveP2P(p, ps, b, got2)
 			if diff := maxAbsDiff(got2, want); diff != 0 {
@@ -340,7 +340,7 @@ func TestParallelFactorizationsMatchSequential(t *testing.T) {
 		if err := fSeq.FactorizeILU(a); err != nil {
 			t.Fatal(err)
 		}
-		for _, nw := range []int{2, 5} {
+		for _, nw := range []int{1, 2, 3, 5, 7} {
 			p := par.NewPool(nw)
 			fLvl, _ := NewFactorPattern(pat)
 			ls := NewLevelSchedule(fLvl.M)
@@ -351,7 +351,7 @@ func TestParallelFactorizationsMatchSequential(t *testing.T) {
 				t.Fatalf("ILU(%d) nw=%d: level factorization differs by %v", lev, nw, diff)
 			}
 			fP2P, _ := NewFactorPattern(pat)
-			ps := NewP2PSchedule(fP2P.M, nw)
+			ps := mustP2P(t, fP2P.M, nw)
 			if err := fP2P.FactorizeILUP2P(p, ps, a); err != nil {
 				t.Fatal(err)
 			}
@@ -363,6 +363,55 @@ func TestParallelFactorizationsMatchSequential(t *testing.T) {
 	}
 }
 
+// mustP2P builds the P2P schedule of m for nw threads, failing the test on
+// error.
+func mustP2P(t testing.TB, m *BSR, nw int) *P2PSchedule {
+	t.Helper()
+	s, err := NewP2PSchedule(m, nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// taskOwners inverts the schedule's task lists into per-row owner thread
+// and position in order, failing unless every row is listed exactly once.
+func taskOwners(t testing.TB, s *P2PSchedule, n int) (owner, pos []int32) {
+	t.Helper()
+	if len(s.order) != n || s.start[0] != 0 || s.start[s.nw] != int32(n) {
+		t.Fatalf("task lists cover %d rows (start %v), want %d", len(s.order), s.start, n)
+	}
+	owner = make([]int32, n)
+	pos = make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for th := 0; th < s.nw; th++ {
+		for p := s.start[th]; p < s.start[th+1]; p++ {
+			i := s.order[p]
+			if pos[i] >= 0 {
+				t.Fatalf("row %d listed twice", i)
+			}
+			owner[i], pos[i] = int32(th), p
+		}
+	}
+	return owner, pos
+}
+
+// ilu1Factor returns the ILU(1) factor pattern of the tiny-mesh test matrix.
+func ilu1Factor(t testing.TB) *Factor {
+	a := testMatrix(t, 18)
+	pat, err := SymbolicILU(a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFactorPattern(pat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // P2P sparsification must produce far fewer waits than raw cross-thread
 // dependencies.
 func TestP2PSparsification(t *testing.T) {
@@ -370,15 +419,10 @@ func TestP2PSparsification(t *testing.T) {
 	pat, _ := SymbolicILU(a, 0)
 	f, _ := NewFactorPattern(pat)
 	nw := 8
-	s := NewP2PSchedule(f.M, nw)
+	s := mustP2P(t, f.M, nw)
+	owner, _ := taskOwners(t, s, f.M.N)
 	// Count raw cross-thread forward dependencies.
 	raw := 0
-	owner := make([]int32, f.M.N)
-	for t2 := 0; t2 < nw; t2++ {
-		for i := s.start[t2]; i < s.start[t2+1]; i++ {
-			owner[i] = int32(t2)
-		}
-	}
 	for i := int32(0); i < int32(f.M.N); i++ {
 		for k := f.M.Ptr[i]; k < f.M.Diag[i]; k++ {
 			if owner[f.M.Col[k]] != owner[i] {
@@ -393,27 +437,100 @@ func TestP2PSparsification(t *testing.T) {
 		raw, s.NumWaits(), 100*float64(s.NumWaits())/float64(raw))
 }
 
-func TestNNZBalancedChunks(t *testing.T) {
-	a := testMatrix(t, 17)
-	for _, nw := range []int{1, 3, 8} {
-		start := nnzBalancedChunks(a, nw)
-		if start[0] != 0 || start[nw] != int32(a.N) {
-			t.Fatalf("bad sentinels %v", start)
+// A single thread runs the rows in natural order with no waits at all.
+func TestP2PScheduleOneThreadIsIdentity(t *testing.T) {
+	f := ilu1Factor(t)
+	s := mustP2P(t, f.M, 1)
+	for p, i := range s.order {
+		if i != int32(p) {
+			t.Fatalf("task %d is row %d, want the identity order", p, i)
 		}
-		var maxNNZ, totNNZ int64
-		for t2 := 0; t2 < nw; t2++ {
-			if start[t2] > start[t2+1] {
-				t.Fatalf("non-monotone chunks %v", start)
+	}
+	if s.NumWaits() != 0 {
+		t.Fatalf("%d waits, want 0", s.NumWaits())
+	}
+}
+
+// An asymmetric pattern would let a backward update race a foreign forward
+// read, so the schedule refuses it.
+func TestP2PScheduleRejectsAsymmetricPattern(t *testing.T) {
+	for _, rows := range [][][]int32{
+		{{0}, {0, 1}, {2}},          // L(1,0) without U(0,1)
+		{{0, 2}, {1}, {2}},          // U(0,2) without L(2,0)
+		{{0, 1}, {0, 1, 2}, {0, 2}}, // (2,0) present, (0,2) absent
+	} {
+		m, err := NewBSRFromPattern(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nw := range []int{1, 2} {
+			if _, err := NewP2PSchedule(m, nw); err == nil {
+				t.Fatalf("pattern %v nw=%d: asymmetric pattern accepted", rows, nw)
 			}
-			nnz := int64(a.Ptr[start[t2+1]] - a.Ptr[start[t2]])
-			totNNZ += nnz
-			if nnz > maxNNZ {
-				maxNNZ = nnz
+		}
+	}
+	if _, err := NewP2PSchedule(testMatrix(t, 19), 0); err == nil {
+		t.Fatal("zero threads accepted")
+	}
+}
+
+// forwardMakespan replays the forward sweep of s under a unit cost per
+// stored block of each row, honouring exactly the schedule's own waits, and
+// returns the makespan over the sequential work. It fails on a schedule
+// that can deadlock.
+func forwardMakespan(t testing.TB, s *P2PSchedule, m *BSR) float64 {
+	t.Helper()
+	finish := make([]int64, len(s.order))
+	next := append([]int32(nil), s.start[:s.nw]...)
+	seq, span := int64(0), int64(0)
+	for left := len(s.order); left > 0; {
+		progressed := false
+		for th := 0; th < s.nw; th++ {
+			for ; next[th] < s.start[th+1]; next[th]++ {
+				q := next[th]
+				ready := int64(0)
+				if q > s.start[th] {
+					ready = finish[q-1]
+				}
+				blocked := false
+				for _, w := range s.fwdWaits[s.fwdPtr[q]:s.fwdPtr[q+1]] {
+					if int64(next[w.thread]-s.start[w.thread]) < w.count {
+						blocked = true
+						break
+					}
+					ready = max(ready, finish[s.start[w.thread]+int32(w.count)-1])
+				}
+				if blocked {
+					break
+				}
+				i := s.order[q]
+				cost := int64(m.Ptr[i+1] - m.Ptr[i])
+				finish[q] = ready + cost
+				seq += cost
+				span = max(span, finish[q])
+				left--
+				progressed = true
 			}
 		}
-		if float64(maxNNZ) > 1.3*float64(totNNZ)/float64(nw) {
-			t.Fatalf("nw=%d: chunk imbalance max=%d total=%d", nw, maxNNZ, totNNZ)
+		if !progressed {
+			t.Fatal("forward schedule deadlocks")
 		}
+	}
+	return float64(span) / float64(seq)
+}
+
+// Regression guard against a schedule that serialises the sweep: on an
+// ILU(1) factor two threads must finish the forward recurrence in well
+// under the sequential work (contiguous row blocks give 0.99 here).
+func TestP2PScheduleForwardCriticalPath(t *testing.T) {
+	f := ilu1Factor(t)
+	if r := forwardMakespan(t, mustP2P(t, f.M, 1), f.M); r != 1 {
+		t.Fatalf("1-thread makespan %.3f of sequential, want 1", r)
+	}
+	r := forwardMakespan(t, mustP2P(t, f.M, 2), f.M)
+	t.Logf("2-thread forward makespan = %.3f of sequential work", r)
+	if r > 0.6 {
+		t.Fatalf("2-thread forward makespan %.3f of sequential work, want <= 0.6", r)
 	}
 }
 
