@@ -77,7 +77,15 @@ func main() {
 		fmt.Printf("  ready in %v\n", time.Since(t0).Round(time.Millisecond))
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: eng.Handler()}
+	// No ReadTimeout or WriteTimeout: a history stream stays open as long as
+	// its job runs. The header and idle limits stop a client that opens a
+	// connection and then sends nothing from holding it forever.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           eng.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Printf("fun3dd: serving on %s (%d solves x %d threads, queue %d)\n",

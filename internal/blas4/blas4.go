@@ -4,8 +4,13 @@
 // the ILU factorization. Blocks are stored row-major in flat [16]float64
 // windows of the BSR value array; vectors are [4]float64 windows.
 //
-// The fixed trip counts let the Go compiler fully unroll these loops, which
-// is the closest pure-Go analogue of the paper's hand-vectorized intrinsics.
+// The gc compiler unrolls no loops and keeps no array of more than one
+// element in registers, so a fixed trip count buys nothing by itself. The
+// kernels that matter are written out by hand with their operands in scalar
+// locals (x0..x3, ai0..ai3, the hoisted block of GemvSubN): that is the
+// closest pure-Go analogue of the paper's hand-vectorized intrinsics. The
+// dense triangular-solve rows in package sparse write the same expressions
+// over their own locals rather than call a kernel per block.
 package blas4
 
 // B is the block dimension: four unknowns (p,u,v,w) per mesh vertex.
@@ -13,31 +18,6 @@ const B = 4
 
 // BB is the number of scalars in one block.
 const BB = B * B
-
-// GemvSub computes y -= A*x for a 4x4 block A (row-major, len>=16) and
-// 4-vectors x, y (len>=4). This is the inner operation of the block TRSV.
-func GemvSub(a, x, y []float64) {
-	_ = a[15]
-	_ = x[3]
-	_ = y[3]
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-	y[0] -= a[0]*x0 + a[1]*x1 + a[2]*x2 + a[3]*x3
-	y[1] -= a[4]*x0 + a[5]*x1 + a[6]*x2 + a[7]*x3
-	y[2] -= a[8]*x0 + a[9]*x1 + a[10]*x2 + a[11]*x3
-	y[3] -= a[12]*x0 + a[13]*x1 + a[14]*x2 + a[15]*x3
-}
-
-// GemvAdd computes y += A*x.
-func GemvAdd(a, x, y []float64) {
-	_ = a[15]
-	_ = x[3]
-	_ = y[3]
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-	y[0] += a[0]*x0 + a[1]*x1 + a[2]*x2 + a[3]*x3
-	y[1] += a[4]*x0 + a[5]*x1 + a[6]*x2 + a[7]*x3
-	y[2] += a[8]*x0 + a[9]*x1 + a[10]*x2 + a[11]*x3
-	y[3] += a[12]*x0 + a[13]*x1 + a[14]*x2 + a[15]*x3
-}
 
 // Gemv computes y = A*x.
 func Gemv(a, x, y []float64) {
@@ -54,10 +34,11 @@ func Gemv(a, x, y []float64) {
 // GemvSubN computes y -= A*x_c for one 4x4 block A applied to a run of
 // column blocks: for each c in cols, in order, y -= A * x[4c:4c+4]. A's 16
 // scalars are hoisted into registers once for the whole run — the batched
-// repeated-block form of GemvSub used when consecutive BSR slots share one
-// deduplicated block. Each per-column update evaluates exactly the GemvSub
-// expression in the same order, so the result is bit-identical to calling
-// GemvSub once per column.
+// repeated-block form of the dense solve's row update, used when
+// consecutive BSR slots share one deduplicated block. Each per-column
+// update evaluates y[r] -= a[4r]*x0 + a[4r+1]*x1 + a[4r+2]*x2 + a[4r+3]*x3,
+// the dense row's expression in the same order, so the result is
+// bit-identical to the dense path.
 func GemvSubN(a, x []float64, cols []int32, y []float64) {
 	_ = a[15]
 	_ = y[3]

@@ -39,18 +39,6 @@ func TestGemvVariants(t *testing.T) {
 				t.Fatalf("Gemv[%d] = %v want %v", i, y[i], want[i])
 			}
 		}
-		y2 := []float64{1, 2, 3, 4}
-		GemvAdd(a, x, y2)
-		y3 := []float64{1, 2, 3, 4}
-		GemvSub(a, x, y3)
-		for i := 0; i < B; i++ {
-			if math.Abs(y2[i]-(float64(i+1)+want[i])) > 1e-14 {
-				t.Fatalf("GemvAdd[%d]", i)
-			}
-			if math.Abs(y3[i]-(float64(i+1)-want[i])) > 1e-14 {
-				t.Fatalf("GemvSub[%d]", i)
-			}
-		}
 	}
 }
 
@@ -161,17 +149,6 @@ func TestZeroCopyAddDiag(t *testing.T) {
 	AddDiag(b, 10)
 	if b[0] != 10 || b[5] != 15 || b[10] != 20 || b[15] != 25 {
 		t.Fatalf("AddDiag %v", b)
-	}
-}
-
-func BenchmarkGemvSub(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	a := randBlock(rng)
-	x := randBlock(rng)[:B]
-	y := make([]float64, B)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		GemvSub(a, x, y)
 	}
 }
 

@@ -87,6 +87,19 @@ type Kernels struct {
 	stagedWS      []stagedWS
 	stagedF       []float64
 	stagedBatches int64
+
+	// Operands of the in-flight owner-writes residual sweep, read by
+	// repEdgeBody and repBoundaryBody. The pool hands its body to the
+	// workers through a channel, so a per-call closure would escape to the
+	// heap; the bodies are bound once in NewKernels instead and a
+	// steady-state Residual allocates nothing.
+	rep                          repArgs
+	repEdgeBody, repBoundaryBody func(tid int)
+}
+
+type repArgs struct {
+	q, grad, phi, res []float64
+	lo, hi            int
 }
 
 // NewKernels constructs the kernel set. pool may be nil only for
@@ -96,10 +109,12 @@ func NewKernels(m *mesh.Mesh, beta float64, qInf physics.State, pool *par.Pool, 
 	if pool != nil {
 		nw = pool.Size()
 	}
-	return &Kernels{
+	k := &Kernels{
 		M: m, Beta: beta, QInf: qInf, Pool: pool, Part: part, Cfg: cfg,
 		sink: make([]float64, nw*8), // padded
 	}
+	k.repEdgeBody, k.repBoundaryBody = k.repEdgeThread, k.repBoundaryThread
+	return k
 }
 
 // PoisonScratch NaN-fills the per-solve fused-pipeline scratch (the shared
@@ -255,15 +270,9 @@ func (k *Kernels) ResidualEdgeRange(q, grad, phi, res []float64, lo, hi int) {
 			}
 		})
 	case ReplicateNatural, ReplicateMETIS:
-		p := k.Part
-		k.Pool.Run(func(tid int) {
-			list := edgeSubRange(p.EdgeList[tid], lo, hi)
-			if k.Cfg.SIMD {
-				k.repEdgesSIMD(q, grad, phi, res, list, p.Owner, int32(tid))
-			} else {
-				k.repEdges(q, grad, phi, res, list, p.Owner, int32(tid), k.Cfg.Prefetch, tid)
-			}
-		})
+		k.rep = repArgs{q: q, grad: grad, phi: phi, res: res, lo: lo, hi: hi}
+		k.Pool.Run(k.repEdgeBody)
+		k.rep = repArgs{}
 	case Colored:
 		col := k.Part.Coloring
 		for c := 0; c < col.NumColors(); c++ {
@@ -303,20 +312,38 @@ func (k *Kernels) ResidualBoundary(q, res []float64) {
 			}
 		})
 	case ReplicateNatural, ReplicateMETIS:
-		owner := k.Part.Owner
-		k.Pool.Run(func(tid int) {
-			for _, bn := range k.M.BNodes {
-				if owner[bn.V] != int32(tid) {
-					continue
-				}
-				f, v := k.boundaryFlux(q, bn)
-				for c := 0; c < 4; c++ {
-					res[int(v)*4+c] += f[c]
-				}
-			}
-		})
+		k.rep = repArgs{q: q, res: res}
+		k.Pool.Run(k.repBoundaryBody)
+		k.rep = repArgs{}
 	case Colored:
 		k.boundaryAligned(q, res)
+	}
+}
+
+// repEdgeThread is thread tid's share of an owner-writes edge sweep over
+// k.rep: its edges in [lo, hi).
+func (k *Kernels) repEdgeThread(tid int) {
+	r, p := &k.rep, k.Part
+	list := edgeSubRange(p.EdgeList[tid], r.lo, r.hi)
+	if k.Cfg.SIMD {
+		k.repEdgesSIMD(r.q, r.grad, r.phi, r.res, list, p.Owner, int32(tid))
+	} else {
+		k.repEdges(r.q, r.grad, r.phi, r.res, list, p.Owner, int32(tid), k.Cfg.Prefetch, tid)
+	}
+}
+
+// repBoundaryThread is thread tid's share of the owner-writes boundary
+// closure over k.rep: the boundary nodes of the vertices it owns.
+func (k *Kernels) repBoundaryThread(tid int) {
+	q, res, owner := k.rep.q, k.rep.res, k.Part.Owner
+	for _, bn := range k.M.BNodes {
+		if owner[bn.V] != int32(tid) {
+			continue
+		}
+		f, v := k.boundaryFlux(q, bn)
+		for c := 0; c < 4; c++ {
+			res[int(v)*4+c] += f[c]
+		}
 	}
 }
 

@@ -70,51 +70,83 @@ func Jacobian(q State, n geom.Vec3, beta float64, a *[16]float64) {
 // spectrum. The area scaling rides along exactly (all eigenvalues scale by
 // the face area).
 func AbsJacobian(q State, n geom.Vec3, beta float64, m *[16]float64) {
-	area := n.Norm()
-	if area == 0 {
-		for i := range m {
-			m[i] = 0
-		}
-		return
-	}
-	nh := n.Scale(1 / area)
-	theta := nh.X*q[1] + nh.Y*q[2] + nh.Z*q[3]
-	c := math.Sqrt(theta*theta + beta)
-	// Eigenvalues of the unit-normal Jacobian.
-	l1, l2, l3 := theta, theta+c, theta-c
-	// Quadratic Lagrange interpolation of |λ| at l1,l2,l3.
-	f1, f2, f3 := math.Abs(l1), math.Abs(l2), math.Abs(l3)
-	d1 := (l1 - l2) * (l1 - l3)
-	d2 := (l2 - l1) * (l2 - l3)
-	d3 := (l3 - l1) * (l3 - l2)
-	// P(λ) = sum f_i * prod (λ - l_j)/(l_i - l_j); expand to a0+a1 λ+a2 λ².
-	a2 := f1/d1 + f2/d2 + f3/d3
-	a1 := -(f1*(l2+l3)/d1 + f2*(l1+l3)/d2 + f3*(l1+l2)/d3)
-	a0 := f1*l2*l3/d1 + f2*l1*l3/d2 + f3*l1*l2/d3
-
-	var A [16]float64
-	Jacobian(q, nh, beta, &A)
-	var A2 [16]float64
-	mul4(&A, &A, &A2)
-	for i := 0; i < 16; i++ {
-		m[i] = (a1*A[i] + a2*A2[i]) * area
-	}
-	m[0] += a0 * area
-	m[5] += a0 * area
-	m[10] += a0 * area
-	m[15] += a0 * area
+	absJacobian(q, n, beta, State{}, m)
 }
 
-func mul4(a, b, c *[16]float64) {
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			s := 0.0
-			for k := 0; k < 4; k++ {
-				s += a[i*4+k] * b[k*4+j]
-			}
-			c[i*4+j] = s
-		}
+// absJacobian is the one |A| kernel behind RoeFlux, RoeFluxJacobians and
+// AbsJacobian. It returns |A|·dq and, when m is non-nil, also stores |A|
+// into m.
+//
+// The entries of A, A² and |A| live in scalar locals: gc keeps no array of
+// more than one element in registers and unrolls no loops, so the matrix
+// form (A and A² in [16] arrays, a triple-loop product) loads and stores
+// every flop. Each A² entry is still accumulated from 0 in k order and each
+// dissipation row from 0 in column order, the matrix form's exact
+// operations, so results are bit-identical to it, signed zeros included;
+// physics_test.go keeps that form as the oracle.
+func absJacobian(q State, n geom.Vec3, beta float64, dq State, m *[16]float64) (d0, d1, d2, d3 float64) {
+	var m00, m01, m02, m03, m10, m11, m12, m13 float64
+	var m20, m21, m22, m23, m30, m31, m32, m33 float64
+	if area := n.Norm(); area != 0 {
+		nh := n.Scale(1 / area)
+		u, v, w := q[1], q[2], q[3]
+		theta := nh.X*u + nh.Y*v + nh.Z*w
+		c := math.Sqrt(theta*theta + beta)
+		// Eigenvalues of the unit-normal Jacobian.
+		l1, l2, l3 := theta, theta+c, theta-c
+		// Quadratic Lagrange interpolation of |λ| at l1,l2,l3.
+		f1, f2, f3 := math.Abs(l1), math.Abs(l2), math.Abs(l3)
+		e1 := (l1 - l2) * (l1 - l3)
+		e2 := (l2 - l1) * (l2 - l3)
+		e3 := (l3 - l1) * (l3 - l2)
+		// P(λ) = sum f_i * prod (λ - l_j)/(l_i - l_j); expand to a0+a1 λ+a2 λ².
+		a2 := f1/e1 + f2/e2 + f3/e3
+		a1 := -(f1*(l2+l3)/e1 + f2*(l1+l3)/e2 + f3*(l1+l2)/e3)
+		a0 := f1*l2*l3/e1 + f2*l1*l3/e2 + f3*l1*l2/e3
+
+		// A = Jacobian(q, nh), row-major.
+		a00, a01, a02, a03 := 0.0, beta*nh.X, beta*nh.Y, beta*nh.Z
+		a10, a11, a12, a13 := nh.X, theta+u*nh.X, u*nh.Y, u*nh.Z
+		a20, a21, a22, a23 := nh.Y, v*nh.X, theta+v*nh.Y, v*nh.Z
+		a30, a31, a32, a33 := nh.Z, w*nh.X, w*nh.Y, theta+w*nh.Z
+
+		// |A|_ij = (a1 A_ij + a2 (A²)_ij) area, plus a0 area on the diagonal.
+		m00 = (a1*a00+a2*dot4(a00, a01, a02, a03, a00, a10, a20, a30))*area + a0*area
+		m01 = (a1*a01 + a2*dot4(a00, a01, a02, a03, a01, a11, a21, a31)) * area
+		m02 = (a1*a02 + a2*dot4(a00, a01, a02, a03, a02, a12, a22, a32)) * area
+		m03 = (a1*a03 + a2*dot4(a00, a01, a02, a03, a03, a13, a23, a33)) * area
+		m10 = (a1*a10 + a2*dot4(a10, a11, a12, a13, a00, a10, a20, a30)) * area
+		m11 = (a1*a11+a2*dot4(a10, a11, a12, a13, a01, a11, a21, a31))*area + a0*area
+		m12 = (a1*a12 + a2*dot4(a10, a11, a12, a13, a02, a12, a22, a32)) * area
+		m13 = (a1*a13 + a2*dot4(a10, a11, a12, a13, a03, a13, a23, a33)) * area
+		m20 = (a1*a20 + a2*dot4(a20, a21, a22, a23, a00, a10, a20, a30)) * area
+		m21 = (a1*a21 + a2*dot4(a20, a21, a22, a23, a01, a11, a21, a31)) * area
+		m22 = (a1*a22+a2*dot4(a20, a21, a22, a23, a02, a12, a22, a32))*area + a0*area
+		m23 = (a1*a23 + a2*dot4(a20, a21, a22, a23, a03, a13, a23, a33)) * area
+		m30 = (a1*a30 + a2*dot4(a30, a31, a32, a33, a00, a10, a20, a30)) * area
+		m31 = (a1*a31 + a2*dot4(a30, a31, a32, a33, a01, a11, a21, a31)) * area
+		m32 = (a1*a32 + a2*dot4(a30, a31, a32, a33, a02, a12, a22, a32)) * area
+		m33 = (a1*a33+a2*dot4(a30, a31, a32, a33, a03, a13, a23, a33))*area + a0*area
 	}
+	if m != nil {
+		*m = [16]float64{m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33}
+	}
+	d0 = dot4(m00, m01, m02, m03, dq[0], dq[1], dq[2], dq[3])
+	d1 = dot4(m10, m11, m12, m13, dq[0], dq[1], dq[2], dq[3])
+	d2 = dot4(m20, m21, m22, m23, dq[0], dq[1], dq[2], dq[3])
+	d3 = dot4(m30, m31, m32, m33, dq[0], dq[1], dq[2], dq[3])
+	return
+}
+
+// dot4 is x·y accumulated from +0 in index order, the matrix-product loop
+// `s := 0.0; for k { s += x[k]*y[k] }` with its signed-zero behaviour.
+func dot4(x0, x1, x2, x3, y0, y1, y2, y3 float64) float64 {
+	s := 0.0
+	s += x0 * y0
+	s += x1 * y1
+	s += x2 * y2
+	s += x3 * y3
+	return s
 }
 
 // RoeFlux returns the Roe flux-difference-splitting numerical flux through
@@ -127,21 +159,15 @@ func mul4(a, b, c *[16]float64) {
 func RoeFlux(qL, qR State, n geom.Vec3, beta float64) State {
 	fl := PhysFlux(qL, n, beta)
 	fr := PhysFlux(qR, n, beta)
-	var qbar State
-	for i := 0; i < N; i++ {
-		qbar[i] = 0.5 * (qL[i] + qR[i])
+	qbar := State{0.5 * (qL[0] + qR[0]), 0.5 * (qL[1] + qR[1]), 0.5 * (qL[2] + qR[2]), 0.5 * (qL[3] + qR[3])}
+	dq := State{qR[0] - qL[0], qR[1] - qL[1], qR[2] - qL[2], qR[3] - qL[3]}
+	d0, d1, d2, d3 := absJacobian(qbar, n, beta, dq, nil)
+	return State{
+		0.5*(fl[0]+fr[0]) - 0.5*d0,
+		0.5*(fl[1]+fr[1]) - 0.5*d1,
+		0.5*(fl[2]+fr[2]) - 0.5*d2,
+		0.5*(fl[3]+fr[3]) - 0.5*d3,
 	}
-	var absA [16]float64
-	AbsJacobian(qbar, n, beta, &absA)
-	var out State
-	for i := 0; i < N; i++ {
-		d := 0.0
-		for j := 0; j < N; j++ {
-			d += absA[i*4+j] * (qR[j] - qL[j])
-		}
-		out[i] = 0.5*(fl[i]+fr[i]) - 0.5*d
-	}
-	return out
 }
 
 // RusanovFlux is the local Lax–Friedrichs flux: cheaper, more diffusive.

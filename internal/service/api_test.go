@@ -263,6 +263,35 @@ func TestAPIQueueFull(t *testing.T) {
 	}
 }
 
+// TestAPIOversizeBody: a request body over maxRequestBytes is refused with
+// 413 on both submit endpoints, and no job is enqueued.
+func TestAPIOversizeBody(t *testing.T) {
+	e, srv := startServer(t, EngineConfig{
+		Mesh:          testSpec(),
+		Solver:        testConfig(1),
+		MaxConcurrent: 1,
+	})
+	// Valid JSON whose unknown field pushes it past the limit, so only the
+	// size can be the reason for the refusal.
+	body := `{"alpha_deg": 1, "alphas": [1], "pad": "` + strings.Repeat("x", maxRequestBytes) + `"}`
+	for _, path := range []string{"/v1/jobs", "/v1/polar"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		apiErr := decode[map[string]string](t, resp)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a %d-byte body: %d %v, want 413", path, len(body), resp.StatusCode, apiErr)
+		}
+	}
+	if jobs := e.Jobs(); len(jobs) != 0 {
+		t.Fatalf("%d jobs after oversize submits, want 0", len(jobs))
+	}
+	if st := e.Stats(); st.Queued != 0 || st.Running != 0 {
+		t.Fatalf("stats after oversize submits: %+v, want nothing queued or running", st)
+	}
+}
+
 // TestAPIEvictResume exercises eviction and resume over HTTP and checks the
 // stitched trajectory against an uninterrupted isolated solve.
 func TestAPIEvictResume(t *testing.T) {

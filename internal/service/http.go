@@ -124,10 +124,30 @@ func retryAfterSeconds(d time.Duration) string {
 	return fmt.Sprintf("%d", s)
 }
 
+// maxRequestBytes bounds a JSON request body: a job or polar request is a
+// few hundred bytes, and a client must not make the server buffer more.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest decodes r's JSON body into v, reading at most
+// maxRequestBytes. On failure it answers 413 for an oversize body, 400
+// otherwise, and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	}
+	return false
+}
+
 func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	j, err := e.Submit(req)
@@ -194,8 +214,7 @@ type polarResponse struct {
 
 func (e *Engine) handlePolar(w http.ResponseWriter, r *http.Request) {
 	var req polarRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Alphas) == 0 {

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"fun3d/internal/blas4"
-	"fun3d/internal/par"
 )
 
 // B is the block size (4 unknowns per mesh vertex: p,u,v,w).
@@ -157,33 +156,6 @@ func (a *BSR) Clone() *BSR {
 	}
 }
 
-// MulVec computes y = A*x sequentially. len(x) = len(y) = N*B.
-func (a *BSR) MulVec(x, y []float64) {
-	for i := 0; i < a.N; i++ {
-		yi := y[i*B : i*B+B]
-		yi[0], yi[1], yi[2], yi[3] = 0, 0, 0, 0
-		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-			j := a.Col[k]
-			blas4.GemvAdd(a.Block(k), x[int(j)*B:int(j)*B+B], yi)
-		}
-	}
-}
-
-// MulVecPar computes y = A*x using the pool (row-parallel, no races since
-// each row writes its own y block).
-func (a *BSR) MulVecPar(p *par.Pool, x, y []float64) {
-	p.ParallelFor(a.N, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yi := y[i*B : i*B+B]
-			yi[0], yi[1], yi[2], yi[3] = 0, 0, 0, 0
-			for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-				j := a.Col[k]
-				blas4.GemvAdd(a.Block(k), x[int(j)*B:int(j)*B+B], yi)
-			}
-		}
-	})
-}
-
 // AddToDiag adds s to every scalar diagonal entry (used for the
 // pseudo-transient V/Δt shift).
 func (a *BSR) AddToDiag(s float64) {
@@ -200,23 +172,4 @@ func (a *BSR) SetIdentity() {
 		blas4.Zero(b)
 		blas4.AddDiag(b, 1)
 	}
-}
-
-// Dense expands the matrix into a dense (N*B)^2 row-major array; only for
-// tests on tiny systems.
-func (a *BSR) Dense() []float64 {
-	n := a.N * B
-	d := make([]float64, n*n)
-	for i := 0; i < a.N; i++ {
-		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-			j := int(a.Col[k])
-			blk := a.Block(k)
-			for r := 0; r < B; r++ {
-				for c := 0; c < B; c++ {
-					d[(i*B+r)*n+j*B+c] = blk[r*B+c]
-				}
-			}
-		}
-	}
-	return d
 }

@@ -315,10 +315,7 @@ func (f *Factor) fwdRow(i int32, x []float64) {
 		}
 		return
 	}
-	for k := m.Ptr[i]; k < m.Diag[i]; k++ {
-		j := int(m.Col[k])
-		blas4.GemvSub(m.Block(k), x[j*B:j*B+B], xi)
-	}
+	xi[0], xi[1], xi[2], xi[3] = m.subRow(m.Ptr[i], m.Diag[i], x, xi[0], xi[1], xi[2], xi[3])
 }
 
 // bwdRow applies row i of the backward substitution in place, including
@@ -337,13 +334,35 @@ func (f *Factor) bwdRow(i int32, x []float64) {
 		copy(xi, tmp[:])
 		return
 	}
-	for k := m.Diag[i] + 1; k < m.Ptr[i+1]; k++ {
-		j := int(m.Col[k])
-		blas4.GemvSub(m.Block(k), x[j*B:j*B+B], xi)
+	y0, y1, y2, y3 := m.subRow(m.Diag[i]+1, m.Ptr[i+1], x, xi[0], xi[1], xi[2], xi[3])
+	k := int(m.Diag[i]) * BB
+	d := m.Val[k : k+BB : k+BB]
+	xi[0] = d[0]*y0 + d[1]*y1 + d[2]*y2 + d[3]*y3
+	xi[1] = d[4]*y0 + d[5]*y1 + d[6]*y2 + d[7]*y3
+	xi[2] = d[8]*y0 + d[9]*y1 + d[10]*y2 + d[11]*y3
+	xi[3] = d[12]*y0 + d[13]*y1 + d[14]*y2 + d[15]*y3
+}
+
+// subRow returns y - sum_k A_k x_{col(k)} over the block slots [lo, hi),
+// accumulated into y one block at a time in slot order. y stays in four
+// locals across the row rather than in the x window it came from (gc keeps
+// no array in registers). Each update is y_r -= a_r0*x0 + a_r1*x1 +
+// a_r2*x2 + a_r3*x3, the expression blas4.GemvSubN evaluates, so the dense
+// and dedup paths agree bit for bit. The row's own x block is never read:
+// a triangular segment excludes the diagonal.
+func (a *BSR) subRow(lo, hi int32, x []float64, y0, y1, y2, y3 float64) (float64, float64, float64, float64) {
+	for k := lo; k < hi; k++ {
+		j := int(a.Col[k]) * B
+		xj := x[j : j+B : j+B]
+		o := int(k) * BB
+		v := a.Val[o : o+BB : o+BB]
+		x0, x1, x2, x3 := xj[0], xj[1], xj[2], xj[3]
+		y0 -= v[0]*x0 + v[1]*x1 + v[2]*x2 + v[3]*x3
+		y1 -= v[4]*x0 + v[5]*x1 + v[6]*x2 + v[7]*x3
+		y2 -= v[8]*x0 + v[9]*x1 + v[10]*x2 + v[11]*x3
+		y3 -= v[12]*x0 + v[13]*x1 + v[14]*x2 + v[15]*x3
 	}
-	var tmp [B]float64
-	blas4.Gemv(m.Block(m.Diag[i]), xi, tmp[:])
-	copy(xi, tmp[:])
+	return y0, y1, y2, y3
 }
 
 // FactorizeILUFullWorkspace is the naive ILU variant using a length-N block

@@ -40,6 +40,14 @@ type P2PSchedule struct {
 	fwdWaits, bwdWaits []waitReq
 
 	fwdFlags, bwdFlags []par.Flag
+
+	// Operands of the in-flight SolveP2P, read by solveBody. The pool hands
+	// its body to the workers through a channel, so a per-call closure would
+	// escape to the heap; the body is bound once in NewP2PSchedule instead
+	// and a steady-state solve allocates nothing.
+	solveF    *Factor
+	solveX    []float64
+	solveBody func(tid int)
 }
 
 type waitReq struct {
@@ -63,6 +71,7 @@ func NewP2PSchedule(m *BSR, nw int) (*P2PSchedule, error) {
 		return nil, fmt.Errorf("sparse: P2P schedule: %w", err)
 	}
 	s := &P2PSchedule{nw: nw, start: make([]int32, nw+1)}
+	s.solveBody = s.solveThread
 	s.fwdFlags = make([]par.Flag, nw)
 	s.bwdFlags = make([]par.Flag, nw)
 	if nw == 1 {
@@ -209,27 +218,34 @@ func (f *Factor) SolveP2P(p *par.Pool, s *P2PSchedule, b, x []float64) {
 		copy(x[:n*B], b[:n*B])
 	}
 	s.resetFlags()
-	p.Run(func(tid int) {
-		lo, hi := s.start[tid], s.start[tid+1]
-		done := int64(0)
-		for q := lo; q < hi; q++ {
-			for _, w := range s.fwdWaits[s.fwdPtr[q]:s.fwdPtr[q+1]] {
-				s.fwdFlags[w.thread].WaitAtLeast(w.count)
-			}
-			f.fwdRow(s.order[q], x)
-			done++
-			s.fwdFlags[tid].Set(done)
+	s.solveF, s.solveX = f, x
+	p.Run(s.solveBody)
+	s.solveF, s.solveX = nil, nil
+}
+
+// solveThread is thread tid's share of SolveP2P: its task list forward,
+// then backward.
+func (s *P2PSchedule) solveThread(tid int) {
+	f, x := s.solveF, s.solveX
+	lo, hi := s.start[tid], s.start[tid+1]
+	done := int64(0)
+	for q := lo; q < hi; q++ {
+		for _, w := range s.fwdWaits[s.fwdPtr[q]:s.fwdPtr[q+1]] {
+			s.fwdFlags[w.thread].WaitAtLeast(w.count)
 		}
-		done = 0
-		for q := lo; q < hi; q++ {
-			for _, w := range s.bwdWaits[s.bwdPtr[q]:s.bwdPtr[q+1]] {
-				s.bwdFlags[w.thread].WaitAtLeast(w.count)
-			}
-			f.bwdRow(s.order[lo+hi-1-q], x)
-			done++
-			s.bwdFlags[tid].Set(done)
+		f.fwdRow(s.order[q], x)
+		done++
+		s.fwdFlags[tid].Set(done)
+	}
+	done = 0
+	for q := lo; q < hi; q++ {
+		for _, w := range s.bwdWaits[s.bwdPtr[q]:s.bwdPtr[q+1]] {
+			s.bwdFlags[w.thread].WaitAtLeast(w.count)
 		}
-	})
+		f.bwdRow(s.order[lo+hi-1-q], x)
+		done++
+		s.bwdFlags[tid].Set(done)
+	}
 }
 
 // FactorizeILUP2P computes the ILU factorization with point-to-point

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -100,41 +101,6 @@ func TestBSRFromPatternErrors(t *testing.T) {
 	}
 }
 
-func TestMulVecAgainstDense(t *testing.T) {
-	a := testMatrix(t, 1)
-	n := a.N * B
-	x := randVec(n, 2)
-	y := make([]float64, n)
-	a.MulVec(x, y)
-	d := a.Dense()
-	want := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for j := 0; j < n; j++ {
-			s += d[i*n+j] * x[j]
-		}
-		want[i] = s
-	}
-	if diff := maxAbsDiff(y, want); diff > 1e-10 {
-		t.Fatalf("MulVec vs dense: %v", diff)
-	}
-}
-
-func TestMulVecParMatchesSeq(t *testing.T) {
-	a := testMatrix(t, 3)
-	p := par.NewPool(4)
-	defer p.Close()
-	n := a.N * B
-	x := randVec(n, 4)
-	y1 := make([]float64, n)
-	y2 := make([]float64, n)
-	a.MulVec(x, y1)
-	a.MulVecPar(p, x, y2)
-	if diff := maxAbsDiff(y1, y2); diff != 0 {
-		t.Fatalf("parallel SpMV differs: %v", diff)
-	}
-}
-
 // ILU(0) on a block-tridiagonal matrix has no fill, so it equals the exact
 // LU factorization and Solve is a direct solver.
 func TestILU0ExactOnTridiagonal(t *testing.T) {
@@ -169,7 +135,7 @@ func TestILU0ExactOnTridiagonal(t *testing.T) {
 	// Solve A x = b and check the residual.
 	xTrue := randVec(n*B, 6)
 	b := make([]float64, n*B)
-	a.MulVec(xTrue, b)
+	mulVec(a, xTrue, b)
 	x := make([]float64, n*B)
 	f.Solve(b, x)
 	if diff := maxAbsDiff(x, xTrue); diff > 1e-8 {
@@ -192,7 +158,7 @@ func TestILU0Preconditions(t *testing.T) {
 	n := a.N * B
 	xTrue := randVec(n, 8)
 	b := make([]float64, n)
-	a.MulVec(xTrue, b)
+	mulVec(a, xTrue, b)
 	x := make([]float64, n)
 	f.Solve(b, x)
 	// ||x - xTrue|| should be much smaller than ||xTrue|| for a dominant A.
@@ -248,7 +214,7 @@ func TestILUkFillAndAccuracy(t *testing.T) {
 		n := a.N * B
 		xTrue := randVec(n, 11)
 		b := make([]float64, n)
-		a.MulVec(xTrue, b)
+		mulVec(a, xTrue, b)
 		x := make([]float64, n)
 		f.Solve(b, x)
 		num, den := 0.0, 0.0
@@ -325,6 +291,74 @@ func TestParallelSolversMatchSequential(t *testing.T) {
 			if diff := maxAbsDiff(got2, want); diff != 0 {
 				t.Fatalf("ILU(%d) nw=%d: p2p solve differs by %v", lev, nw, diff)
 			}
+			p.Close()
+		}
+	}
+}
+
+// refSolve is the block TRSV written as one y -= A*x_j update per block,
+// applied to x in memory, with the pre-inverted diagonal applied through
+// blas4.Gemv: the oracle the row kernels, which hold x_i in locals, must
+// match bit for bit.
+func refSolve(m *BSR, b, x []float64) {
+	gemvSub := func(a, xj, y []float64) {
+		for r := 0; r < B; r++ {
+			y[r] -= a[r*B]*xj[0] + a[r*B+1]*xj[1] + a[r*B+2]*xj[2] + a[r*B+3]*xj[3]
+		}
+	}
+	copy(x, b)
+	for i := 0; i < m.N; i++ {
+		for k := m.Ptr[i]; k < m.Diag[i]; k++ {
+			j := int(m.Col[k])
+			gemvSub(m.Block(k), x[j*B:j*B+B], x[i*B:i*B+B])
+		}
+	}
+	for i := m.N - 1; i >= 0; i-- {
+		xi := x[i*B : i*B+B]
+		for k := m.Diag[i] + 1; k < m.Ptr[i+1]; k++ {
+			j := int(m.Col[k])
+			gemvSub(m.Block(k), x[j*B:j*B+B], xi)
+		}
+		var tmp [B]float64
+		blas4.Gemv(m.Block(m.Diag[i]), xi, tmp[:])
+		copy(xi, tmp[:])
+	}
+}
+
+// Every dense solve path — sequential, level-scheduled and P2P — must
+// reproduce refSolve's bit patterns exactly on the tiny-mesh ILU(0) and
+// ILU(1) factors.
+func TestSolvesBitIdenticalToBlockLoop(t *testing.T) {
+	a := testMatrix(t, 20)
+	for _, lev := range []int{0, 1} {
+		pat, _ := SymbolicILU(a, lev)
+		f, _ := NewFactorPattern(pat)
+		if err := f.FactorizeILU(a); err != nil {
+			t.Fatal(err)
+		}
+		n := a.N * B
+		b := randVec(n, 21)
+		want := make([]float64, n)
+		refSolve(f.M, b, want)
+		check := func(name string, got []float64) {
+			t.Helper()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("ILU(%d) %s: x[%d] = %v, block-loop reference %v", lev, name, i, got[i], want[i])
+				}
+			}
+		}
+		got := make([]float64, n)
+		f.Solve(b, got)
+		check("Solve", got)
+		for _, nw := range []int{1, 2, 3} {
+			p := par.NewPool(nw)
+			clear(got)
+			f.SolveLevel(p, NewLevelSchedule(f.M), b, got)
+			check(fmt.Sprintf("SolveLevel nw=%d", nw), got)
+			clear(got)
+			f.SolveP2P(p, mustP2P(t, f.M, nw), b, got)
+			check(fmt.Sprintf("SolveP2P nw=%d", nw), got)
 			p.Close()
 		}
 	}
@@ -669,6 +703,24 @@ func TestSymbolicILURowInvariants(t *testing.T) {
 			if !hasDiag {
 				t.Fatalf("level %d row %d missing diagonal", lev, i)
 			}
+		}
+	}
+}
+
+// mulVec computes y = A*x block row by block row, each block's product added
+// to y as one four-term sum. Only tests multiply by an assembled BSR: the
+// solver's Krylov operator is matrix-free.
+func mulVec(a *BSR, x, y []float64) {
+	for i := 0; i < a.N; i++ {
+		yi := y[i*4 : i*4+4]
+		yi[0], yi[1], yi[2], yi[3] = 0, 0, 0, 0
+		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
+			j := int(a.Col[k]) * 4
+			v, xj := a.Block(k), x[j:j+4]
+			yi[0] += v[0]*xj[0] + v[1]*xj[1] + v[2]*xj[2] + v[3]*xj[3]
+			yi[1] += v[4]*xj[0] + v[5]*xj[1] + v[6]*xj[2] + v[7]*xj[3]
+			yi[2] += v[8]*xj[0] + v[9]*xj[1] + v[10]*xj[2] + v[11]*xj[3]
+			yi[3] += v[12]*xj[0] + v[13]*xj[1] + v[14]*xj[2] + v[15]*xj[3]
 		}
 	}
 }
